@@ -62,6 +62,8 @@ class AlgorithmConfig:
     #: Use the dirty-region incremental pipeline
     #: (:mod:`repro.core.incremental`): cache boundaries and merge
     #: candidates across rounds and rescan only changed neighborhoods.
+    #: It also selects the tolerant variant's incremental admission
+    #: filter over its per-move rescan (:mod:`repro.core.tolerant`).
     #: Trajectories are bit-identical with this on or off (the equivalence
     #: suite asserts it); the knob exists for A/B benchmarks and as an
     #: escape hatch.

@@ -108,6 +108,9 @@ class SharedStatePurityRule(ProjectRule):
             # — a write here would make safety depend on evaluation
             # order, voiding the stationary-core argument.
             ("src/repro/core/tolerant.py", "certified_subset"),
+            # Its per-move rescan, the oracle behind incremental=False:
+            # the two must agree, so both must be write-free.
+            ("src/repro/core/tolerant.py", "certified_subset_rescan"),
         ),
         follow_prefixes: Sequence[str] = (
             "src/repro/core/",

@@ -52,9 +52,14 @@ core by exactly one cell, its source ``src``:
 Both steps take the old core to be connected, which the first admission
 needs the occupancy itself to be.  A disconnected occupancy admits no
 move at all: removing one source leaves every other piece whole, and a
-source forming a piece on its own touches no core cell.  So one full
-BFS of the occupancy, run when the first candidate passes the adjacency
-checks, settles the premise for the whole round.
+source forming a piece on its own touches no core cell.  The engines
+certify connectivity at the end of every checked round and stamp the
+state with it (``SwarmState.connected_version``), so
+:meth:`TolerantGatherOnGrid.plan_round` usually hands the premise in
+as ``connected=True``.  Without a stamp (``check_connectivity=False``,
+a byzantine robot's perceived copy, the explorer's planning states)
+one full BFS of the occupancy, run when the first candidate passes the
+adjacency checks, settles it for the whole round.
 
 The result equals that of :func:`certified_subset_rescan`, the per-move
 re-check, which ``AlgorithmConfig(incremental=False)`` selects as the
@@ -76,6 +81,7 @@ def certified_subset(
     occupied: Set[Cell],
     planned: Mapping[Cell, Cell],
     incremental: bool = True,
+    connected: bool = False,
 ) -> Dict[Cell, Cell]:
     """The greedily admitted subset of ``planned`` that satisfies the
     stationary-core certificate (module docstring) against ``occupied``.
@@ -84,14 +90,16 @@ def certified_subset(
     order is the sorted source order, so the result is a deterministic
     function of ``(occupied, planned)``.  ``incremental=False`` runs the
     per-move re-check :func:`certified_subset_rescan`; both return the
-    same dict.
+    same dict.  ``connected=True`` promises that ``occupied`` is
+    4-connected (an engine certified it), which skips the one full BFS;
+    the rescan ignores it.
     """
     if not incremental:
         return certified_subset_rescan(occupied, planned)
     kept: Dict[Cell, Cell] = {}
     targets: Set[Cell] = set()
     core = set(occupied)
-    checked = False  # whether ``occupied`` is known to be connected
+    checked = connected  # whether ``occupied`` is known to be connected
     for src, dst in sorted(planned.items()):
         removed = src in core
         core.discard(src)
@@ -232,7 +240,8 @@ class TolerantGatherOnGrid(GatherOnGrid):
     Identical bookkeeping to :class:`GatherOnGrid` — merges, runs,
     pipelining, sharded planning — but :meth:`plan_round` passes the
     stock plan through :func:`certified_subset` before returning it
-    (incrementally unless ``cfg.incremental`` is off).
+    (incrementally unless ``cfg.incremental`` is off), passing along
+    whether an engine stamped ``state`` as connected.
     The run manager's finalize path already tolerates unexecuted moves
     (the SSYNC engines drop arbitrary subsets), so deferral needs no
     extra state: a deferred robot's pattern simply re-fires while it
@@ -247,7 +256,10 @@ class TolerantGatherOnGrid(GatherOnGrid):
     ) -> Mapping[Cell, Cell]:
         planned = dict(super().plan_round(state, round_index))
         kept = certified_subset(
-            state.cells, planned, incremental=self.cfg.incremental
+            state.cells,
+            planned,
+            incremental=self.cfg.incremental,
+            connected=state.connected_version == state.version,
         )
         if len(kept) < len(planned):
             deferred = sorted(src for src in planned if src not in kept)

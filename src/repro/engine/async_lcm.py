@@ -46,15 +46,14 @@ from typing import Any, Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 from repro.engine.events import EventLog
 from repro.engine.faults import _mix, _token_int
 from repro.engine.metrics import MetricsLog, RoundMetrics
-from repro.engine.scheduler import GatherResult
-from repro.engine.ssync_scheduler import ActivationSchedule
+from repro.engine.scheduler import (
+    GatherResult,
+    components_after_round,
+    require_connected,
+)
+from repro.engine.ssync_scheduler import ActivationSchedule, migrate_tokens
 from repro.engine.termination import default_round_budget, is_gathered
 from repro.grid.boundary import outer_boundary
-from repro.grid.connectivity import (
-    connected_components,
-    is_connected,
-    locally_connected_after,
-)
 from repro.grid.envelope import enclosed_area
 from repro.grid.geometry import Cell, chebyshev
 from repro.grid.occupancy import SwarmState
@@ -98,8 +97,7 @@ class AsyncLcmEngine:
     ) -> None:
         if len(state) == 0:
             raise ValueError("cannot simulate an empty swarm")
-        if not is_connected(state.cells):
-            raise ValueError("initial swarm must be connected (paper model)")
+        require_connected(state)
         if staleness < 0:
             raise ValueError(
                 f"staleness must be a non-negative round count, "
@@ -251,38 +249,23 @@ class AsyncLcmEngine:
             controller.notify_applied(state, r, moves, merged)
 
         if self.check_connectivity:
-            if not (
-                self.incremental_connectivity
-                and locally_connected_after(state.cells, state.last_changed)
-            ):
-                comps = connected_components(state.cells)
-                if len(comps) > 1:
-                    self.connectivity_lost = True
-                    self.events.emit(
-                        r, "connectivity_violation", components=len(comps)
-                    )
+            comps = components_after_round(
+                state, self.incremental_connectivity
+            )
+            if comps > 1:
+                self.connectivity_lost = True
+                self.events.emit(
+                    r, "connectivity_violation", components=comps
+                )
 
-        # Token migration — identical to the SSYNC engine's.
-        groups: Dict[Cell, List[int]] = {}
-        for token, cell in self._cell_of.items():
-            groups.setdefault(moves.get(cell, cell), []).append(token)
-        remap: Dict[int, int] = {}
-        new_cell_of: Dict[int, Cell] = {}
-        for cell, tokens in groups.items():
-            tokens.sort()
-            survivor = tokens[0]
-            new_cell_of[survivor] = cell
-            for other in tokens[1:]:
-                remap[other] = survivor
-        self._cell_of = new_cell_of
-        self._id_at = {c: t for t, c in new_cell_of.items()}
+        remap, _ = migrate_tokens(self._cell_of, self._id_at, moves)
         self._busy_until = {
             t: due
             for t, due in self._busy_until.items()
-            if t in new_cell_of and due > r
+            if t in self._cell_of and due > r
         }
         self.schedule.commit(
-            active, remap=remap, survivors=new_cell_of.keys()
+            active, remap=remap, survivors=self._cell_of.keys()
         )
         self._moved_last = set(moves.values())
 

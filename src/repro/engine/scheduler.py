@@ -47,6 +47,37 @@ def close_controller(controller) -> None:
         closer()
 
 
+def require_connected(state: SwarmState) -> None:
+    """Refuse a disconnected initial swarm (paper model), and stamp the
+    accepted one as certified connected (``state.connected_version``)."""
+    if not is_connected(state.cells):
+        raise ValueError("initial swarm must be connected (paper model)")
+    state.connected_version = state.version
+
+
+def components_after_round(
+    state: SwarmState, incremental: bool = True
+) -> int:
+    """The number of 4-connected components after one ``apply_moves``
+    on a state that was connected before it; stamps
+    ``state.connected_version`` when that number is 1.
+
+    The one connectivity check of the synchronous engines.  With
+    ``incremental`` the localized proof over the round's dirty region
+    (``state.last_changed``) is tried first; anything it cannot prove
+    gets the full BFS (bit-identical outcome, just slower).
+    """
+    if incremental and locally_connected_after(
+        state.cells, state.last_changed
+    ):
+        count = 1
+    else:
+        count = len(connected_components(state.cells))
+    if count == 1:
+        state.connected_version = state.version
+    return count
+
+
 class Controller(Protocol):
     """A synchronous distributed algorithm under simulation.
 
@@ -148,8 +179,7 @@ class FsyncEngine:
     ) -> None:
         if len(state) == 0:
             raise ValueError("cannot simulate an empty swarm")
-        if not is_connected(state.cells):
-            raise ValueError("initial swarm must be connected (paper model)")
+        require_connected(state)
         self.state = state
         self.controller = controller
         self.check_connectivity = check_connectivity
@@ -198,17 +228,13 @@ class FsyncEngine:
         self.controller.notify_applied(state, self.round_index, moves, merged)
 
         if self.check_connectivity:
-            # The engine applied exactly one apply_moves since the last
-            # check, so state.last_changed is the round's dirty region and
-            # the localized proof applies; anything it cannot prove gets
-            # the full BFS (bit-identical outcome, just slower).
-            if not (
-                self.incremental_connectivity
-                and locally_connected_after(state.cells, state.last_changed)
-            ):
-                comps = connected_components(state.cells)
-                if len(comps) > 1:
-                    raise ConnectivityViolation(self.round_index, len(comps))
+            # Exactly one apply_moves since the last check, so
+            # state.last_changed is the round's dirty region.
+            comps = components_after_round(
+                state, self.incremental_connectivity
+            )
+            if comps > 1:
+                raise ConnectivityViolation(self.round_index, comps)
 
         boundary_len: Optional[int] = None
         area: Optional[float] = None

@@ -45,6 +45,7 @@ under SSYNC relate to the paper's FSYNC claims.
 from __future__ import annotations
 
 import random
+from collections.abc import Set as AbstractSet
 from typing import (
     Any,
     Callable,
@@ -56,15 +57,22 @@ from typing import (
     Optional,
     Sequence,
     Set,
+    Tuple,
 )
 
 from repro.engine.events import EventLog
 from repro.engine.faults import BYZANTINE_BEHAVIORS, FaultInjector
 from repro.engine.metrics import MetricsLog, RoundMetrics
-from repro.engine.scheduler import GatherResult
+from repro.engine.scheduler import (
+    GatherResult,
+    components_after_round,
+    require_connected,
+)
 from repro.engine.termination import default_round_budget, is_gathered
 from repro.grid.boundary import outer_boundary
-from repro.grid.connectivity import (
+# components_after_round runs the per-round check; the two names it
+# uses stay importable here for tracers that wrap this lookup site.
+from repro.grid.connectivity import (  # noqa: F401
     connected_components,
     is_connected,
     locally_connected_after,
@@ -104,7 +112,8 @@ class UniformActivation:
         if self.p >= 1.0:
             return set(alive)
         p = self.p
-        return {token for token in alive if self.rng.random() < p}
+        draw = self.rng.random
+        return {token for token in alive if draw() < p}
 
 
 class RoundRobinActivation:
@@ -274,7 +283,11 @@ class ActivationSchedule:
         #: Optional token -> extra-event-fields hook (the grid engine
         #: uses it to stamp crash events with the robot's cell).
         self.token_info: Optional[Callable[[Any], Dict[str, Any]]] = None
-        self._streak: Dict[Any, int] = {}
+        # Streaks are stored as epochs: ``streak = _epoch - _base[token]``,
+        # so a commit ages every robot at once by bumping ``_epoch`` and
+        # only rewrites the active, merged and pruned tokens.
+        self._epoch = 0
+        self._base: Dict[Any, int] = {}
         self._crashed: Set[Any] = set()
 
     @property
@@ -284,7 +297,8 @@ class ActivationSchedule:
 
     def streak_of(self, token: Any) -> int:
         """Rounds since ``token`` was last activated (0 if just active)."""
-        return self._streak.get(token, 0)
+        base = self._base.get(token)
+        return 0 if base is None else self._epoch - base
 
     def select(
         self,
@@ -293,17 +307,31 @@ class ActivationSchedule:
         hints: FrozenSet[Any] = frozenset(),
     ) -> Set[Any]:
         """Pick this round's activation set from the full ``roster``."""
-        streak = self._streak
-        alive = [t for t in roster if t not in self._crashed]
-        for t in alive:
-            streak.setdefault(t, 0)
+        base = self._base
+        epoch = self._epoch
+        alive = (
+            [t for t in roster if t not in self._crashed]
+            if self._crashed
+            else roster
+        )
+        alive_set = set(alive)
+        if not base.keys() >= alive_set:
+            for t in alive:
+                base.setdefault(t, epoch)
         chosen = self.policy.select(round_index, alive, hints)
-        forced = {
-            t
-            for t in alive
-            if streak[t] >= self.k_fairness - 1 and t not in chosen
-        }
-        active = (chosen & set(alive)) | forced
+        # Forced: streak >= k - 1, i.e. base <= threshold.  The scan is
+        # skipped when even the oldest base is too recent (a crashed
+        # robot ages forever, so after a crash it always runs).
+        threshold = epoch - (self.k_fairness - 1)
+        if min(base.values(), default=threshold) <= threshold:
+            forced = {
+                t
+                for t in alive
+                if base[t] <= threshold and t not in chosen
+            }
+        else:
+            forced = set()
+        active = (chosen & alive_set) | forced
         if self.faults is not None:
             sleeping, crashed_now = self.faults.draw(round_index, alive)
             for t in sorted(crashed_now):
@@ -341,24 +369,79 @@ class ActivationSchedule:
         constituent makes the survivor crashed — a composite containing
         a crash-stopped robot cannot move).  ``survivors`` prunes
         bookkeeping to the tokens still alive.
+
+        O(active + merged + crashed) Python work; only the survivor
+        pruning is O(n), as one C-level set difference.
         """
-        new_streak: Dict[Any, int] = {}
-        for t, s in self._streak.items():
-            nt = remap.get(t, t) if remap else t
-            ns = 0 if t in active else s + 1
-            if nt in new_streak:
-                new_streak[nt] = min(new_streak[nt], ns)
-            else:
-                new_streak[nt] = ns
-        new_crashed = {
-            (remap.get(t, t) if remap else t) for t in self._crashed
-        }
+        base = self._base
+        self._epoch = epoch = self._epoch + 1
+        for t in active:
+            if t in base:
+                base[t] = epoch
+        if remap:
+            # All renamed tokens leave first, so a token that is both a
+            # rename source and a rename target keeps only what lands.
+            landed = [
+                (nt, base.pop(t)) for t, nt in remap.items() if t in base
+            ]
+            for nt, b in landed:
+                if b > base.get(nt, b - 1):  # max base = min streak
+                    base[nt] = b
+            hit = self._crashed.intersection(remap)
+            if hit:
+                self._crashed -= hit
+                self._crashed |= {remap[t] for t in hit}
         if survivors is not None:
-            alive = set(survivors)
-            new_streak = {t: s for t, s in new_streak.items() if t in alive}
-            new_crashed &= alive
-        self._streak = new_streak
-        self._crashed = new_crashed
+            if not isinstance(survivors, AbstractSet):
+                survivors = set(survivors)
+            for t in base.keys() - survivors:
+                del base[t]
+            if self._crashed:
+                self._crashed = {t for t in self._crashed if t in survivors}
+
+
+# ----------------------------------------------------------------------
+# Robot identity through moves and merges
+# ----------------------------------------------------------------------
+def migrate_tokens(
+    cell_of: Dict[int, Cell],
+    id_at: Dict[Cell, int],
+    moves: Mapping[Cell, Cell],
+) -> Tuple[Dict[int, int], Dict[int, Cell]]:
+    """Follow every robot through one round's applied ``moves``,
+    updating the token maps ``cell_of`` (token -> cell) and ``id_at``
+    (cell -> token) in place in O(|moves|).
+
+    Every source gives up its token first, so chains and swaps need no
+    ordering.  The tokens landing on one target then merge with any
+    robot that stood still there; the smallest token survives.  Returns
+    ``(remap, moved_from)``: ``remap`` maps each merged-away token to
+    its survivor, ``moved_from`` maps each surviving token that moved to
+    the cell it left.  Tokens that did not move keep their entries (and
+    their place in ``cell_of``'s order, which stays ascending).
+    """
+    landing: Dict[Cell, List[int]] = {}
+    source: Dict[int, Cell] = {}
+    for src, dst in moves.items():
+        token = id_at.pop(src)
+        source[token] = src
+        landing.setdefault(dst, []).append(token)
+    remap: Dict[int, int] = {}
+    moved_from: Dict[int, Cell] = {}
+    for dst, tokens in landing.items():
+        stayed = id_at.get(dst)
+        if stayed is not None:
+            tokens.append(stayed)
+        survivor = min(tokens)
+        for token in tokens:
+            if token != survivor:
+                remap[token] = survivor
+                del cell_of[token]
+        id_at[dst] = survivor
+        cell_of[survivor] = dst
+        if survivor != stayed:
+            moved_from[survivor] = source[survivor]
+    return remap, moved_from
 
 
 # ----------------------------------------------------------------------
@@ -378,9 +461,9 @@ class SsyncEngine:
     designed for sequential activation).
 
     Robot identity: integer tokens assigned over the sorted initial
-    cells and followed through every move; merge groups keep the
-    smallest token.  This is what crash-stop faults and the k-fairness
-    streaks attach to.
+    cells and followed through every move by :func:`migrate_tokens`;
+    merge groups keep the smallest token.  This is what crash-stop
+    faults and the k-fairness streaks attach to.
 
     The connectivity check and metrics mirror
     :class:`repro.engine.scheduler.FsyncEngine` exactly, so a schedule
@@ -410,8 +493,7 @@ class SsyncEngine:
     ) -> None:
         if len(state) == 0:
             raise ValueError("cannot simulate an empty swarm")
-        if not is_connected(state.cells):
-            raise ValueError("initial swarm must be connected (paper model)")
+        require_connected(state)
         self.state = state
         self.controller = controller
         self.schedule = schedule
@@ -433,9 +515,10 @@ class SsyncEngine:
         self._cell_of: Dict[int, Cell] = dict(enumerate(cells))
         self._id_at: Dict[Cell, int] = {c: i for i, c in enumerate(cells)}
         self._moved_last: Set[Cell] = set()
-        #: Position each surviving token held one round ago — what a
-        #: byzantine "stale" robot reports to every observer.
-        self._prev_cell_of: Dict[int, Cell] = dict(self._cell_of)
+        #: Position each token that moved last round held before it —
+        #: what a byzantine "stale" robot reports to every observer (a
+        #: token absent here stood still).
+        self._prev_cell_of: Dict[int, Cell] = {}
         self.round_index = 0
         self.activations = 0
         #: Total byzantine misbehaviors drawn (one per alive byzantine
@@ -523,11 +606,11 @@ class SsyncEngine:
         controller = self.controller
         if hasattr(controller, "plan_round"):
             planned = controller.plan_round(perceived, r)
-            active_cells = {self._cell_of[i] for i in active}
+            id_at = self._id_at
             moves: Dict[Cell, Cell] = {
                 src: dst
                 for src, dst in planned.items()
-                if src in active_cells and src not in byz_cells
+                if id_at.get(src) in active and src not in byz_cells
             }
         else:
             moves = {}
@@ -569,40 +652,24 @@ class SsyncEngine:
             controller.notify_applied(state, r, moves, merged)
 
         if self.check_connectivity:
-            # Same localized-proof-with-BFS-fallback as FsyncEngine.step
-            # (exactly one apply_moves since the last check) — but a
-            # violation ends the run as a measured outcome rather than
-            # raising; under an adversarial scheduler, breaking the
-            # algorithm's FSYNC safety argument is the experiment.
-            if not (
-                self.incremental_connectivity
-                and locally_connected_after(state.cells, state.last_changed)
-            ):
-                comps = connected_components(state.cells)
-                if len(comps) > 1:
-                    self.connectivity_lost = True
-                    self.events.emit(
-                        r, "connectivity_violation", components=len(comps)
-                    )
+            # Same check as FsyncEngine.step — but a violation ends the
+            # run as a measured outcome rather than raising; under an
+            # adversarial scheduler, breaking the algorithm's FSYNC
+            # safety argument is the experiment.
+            comps = components_after_round(
+                state, self.incremental_connectivity
+            )
+            if comps > 1:
+                self.connectivity_lost = True
+                self.events.emit(
+                    r, "connectivity_violation", components=comps
+                )
 
-        # Token migration: follow each robot through its applied move;
-        # robots landing on one cell merge, keeping the smallest token.
-        groups: Dict[Cell, List[int]] = {}
-        for token, cell in self._cell_of.items():
-            groups.setdefault(moves.get(cell, cell), []).append(token)
-        remap: Dict[int, int] = {}
-        new_cell_of: Dict[int, Cell] = {}
-        for cell, tokens in groups.items():
-            tokens.sort()
-            survivor = tokens[0]
-            new_cell_of[survivor] = cell
-            for other in tokens[1:]:
-                remap[other] = survivor
-        self._prev_cell_of = {t: self._cell_of[t] for t in new_cell_of}
-        self._cell_of = new_cell_of
-        self._id_at = {c: t for t, c in new_cell_of.items()}
+        remap, self._prev_cell_of = migrate_tokens(
+            self._cell_of, self._id_at, moves
+        )
         self.schedule.commit(
-            active, remap=remap, survivors=new_cell_of.keys()
+            active, remap=remap, survivors=self._cell_of.keys()
         )
         self._moved_last = set(moves.values())
 

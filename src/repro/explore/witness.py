@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import AlgorithmConfig
+from repro.engine.ssync_scheduler import migrate_tokens
 from repro.errors import InvariantError
 from repro.explore.driver import Edge, StateDag
 from repro.grid.geometry import Cell
@@ -94,6 +95,7 @@ def build_witness(
     ox, oy = dag.root_offset
 
     cell_of: Dict[int, Cell] = dict(enumerate(sorted(dag.initial_cells)))
+    id_at: Dict[Cell, int] = {c: t for t, c in cell_of.items()}
     streak: Dict[int, int] = {t: 0 for t in cell_of}
     max_idle = 0
 
@@ -123,22 +125,12 @@ def build_witness(
         controller.notify_applied(state, round_index, moves, merged)
         rows.append(tuple(sorted(state.cells)))
 
-        # Token migration and streak commit, mirroring the engine.
-        groups: Dict[Cell, List[int]] = {}
-        for token, cell in cell_of.items():
-            groups.setdefault(moves.get(cell, cell), []).append(token)
-        new_cell_of: Dict[int, Cell] = {}
-        new_streak: Dict[int, int] = {}
-        for cell, tokens in sorted(groups.items()):
-            tokens.sort()
-            survivor = tokens[0]
-            new_cell_of[survivor] = cell
-            merged_streaks = [
-                0 if t in active else streak[t] + 1 for t in tokens
-            ]
-            new_streak[survivor] = min(merged_streaks)
-        cell_of = new_cell_of
-        streak = new_streak
+        # Token migration and streak commit, as in the engine: a merge
+        # keeps the smallest streak of its members.
+        streak = {t: 0 if t in active else s + 1 for t, s in streak.items()}
+        remap, _ = migrate_tokens(cell_of, id_at, moves)
+        for token, survivor in remap.items():
+            streak[survivor] = min(streak[survivor], streak.pop(token))
 
         ex, ey = edge.offset
         ox, oy = ox + ex, oy + ey

@@ -36,12 +36,23 @@ class SwarmState:
     consumers (:mod:`repro.core.incremental`, the engine's localized
     connectivity check) can restrict their per-round work to the
     neighborhoods that actually moved.
+
+    ``connected_version`` is the ``version`` at which an engine last
+    proved the cells 4-connected (its per-round connectivity check), or
+    -1 when nothing vouches for the current cells: fresh states, copies
+    and ``from_validated`` wraps start unstamped, and any move
+    application bumps ``version`` past the stamp.  Consumers that need
+    connectivity as a premise (the tolerant filter) compare the two
+    instead of re-running a BFS.  Sound only while ``cells`` changes
+    through ``apply_moves``/``move_robot``, like every other
+    ``version``-keyed cache.
     """
 
     __slots__ = (
         "_cells",
         "last_changed",
         "version",
+        "connected_version",
         "_rows",
         "_cols",
         "_bbox",
@@ -57,6 +68,8 @@ class SwarmState:
         self.last_changed: FrozenSet[Cell] = frozenset()
         #: Number of move applications performed on this state.
         self.version: int = 0
+        #: ``version`` last certified 4-connected by an engine, or -1.
+        self.connected_version: int = -1
         # Lazily built row/column indices (y -> sorted xs, x -> sorted ys),
         # maintained incrementally once built; None until first requested.
         self._rows: Dict[int, list] | None = None
@@ -77,6 +90,7 @@ class SwarmState:
         obj._cells = cells
         obj.last_changed = frozenset()
         obj.version = 0
+        obj.connected_version = -1
         obj._rows = None
         obj._cols = None
         obj._bbox = None

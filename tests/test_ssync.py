@@ -522,3 +522,154 @@ class TestScheduleFuzz:
             witness.violation_round
         ]
         assert result.events.of_kind("connectivity_lost")
+
+
+class TestPinnedFamily:
+    """Digests of SSYNC-family runs recorded before the engines' token
+    and streak bookkeeping became incremental.  Each pin is the round
+    count, the activation total, the per-round ``(robots, merged)``
+    series, the full event log (kind, round and fields) and, for grid
+    runs, the trajectory — so any drift in who is activated, forced,
+    crashed or remapped shows up here, not only in the FSYNC anchors."""
+
+    #: ``simulate`` arguments of the pinned runs.
+    RUNS = {
+        # uniform p=0.5 with a tight bound: forced activations
+        "uniform_k3": (
+            Scenario(family="ring", n=40),
+            dict(activation_p=0.5, k_fairness=3, seed=2,
+                 check_connectivity=False, max_rounds=400),
+        ),
+        # sleep and crash faults: crashed composites after merges
+        "faulty_sleep_crash": (
+            Scenario(family="ring", n=32),
+            dict(scheduler="ssync-faulty", sleep_rate=0.1,
+                 crash_rate=0.01, activation_p=0.8, seed=11,
+                 check_connectivity=False, max_rounds=300),
+        ),
+        # byzantine stale/offplan robots: previous cells of survivors
+        "tolerant_byzantine": (
+            Scenario(family="ring", n=24),
+            dict(strategy="tolerant", byzantine_rate=0.15,
+                 activation_p=0.8, seed=1, check_connectivity=False,
+                 max_rounds=600),
+        ),
+        "tolerant_byzantine_checked": (
+            Scenario(family="ring", n=60),
+            dict(strategy="tolerant", byzantine_rate=0.02,
+                 activation_p=0.7, seed=6, max_rounds=600),
+        ),
+        "adversarial": (
+            Scenario(family="ring", n=24),
+            dict(activation="adversarial", k_fairness=5,
+                 check_connectivity=False, max_rounds=200),
+        ),
+        "round_robin": (
+            Scenario(family="blob", n=30, seed=4),
+            dict(activation="round_robin", rr_k=3,
+                 check_connectivity=False, max_rounds=300),
+        ),
+        "async_greedy": (
+            Scenario(family="blob", n=60, seed=6),
+            dict(strategy="async_greedy", activation_p=0.6, seed=3,
+                 sleep_rate=0.05, check_connectivity=False,
+                 max_rounds=300),
+        ),
+        "async_lcm_staleness_2": (
+            Scenario(family="line", n=24),
+            dict(scheduler="async-lcm", staleness=2, activation_p=0.8,
+                 crash_rate=0.005, seed=1, check_connectivity=False,
+                 max_rounds=400),
+        ),
+        "async_lcm_greedy": (
+            Scenario(family="blob", n=16, seed=2),
+            dict(strategy="async_greedy", scheduler="async-lcm",
+                 staleness=2, activation_p=0.7, seed=4,
+                 check_connectivity=False, max_rounds=300),
+        ),
+        # stepped program with crashes: the list-survivors commit path
+        "euclidean_crash": (
+            Scenario(family="circle", n=10),
+            dict(strategy="euclidean", scheduler="ssync-faulty",
+                 crash_rate=0.03, sleep_rate=0.1, activation_p=0.7,
+                 seed=7, max_rounds=60),
+        ),
+    }
+
+    #: ``(rounds, activations, series digest, events digest,
+    #: trajectory digest)`` per run.
+    PINNED = {
+        "adversarial": (
+            200, 301, "5eb9d9a30f5aec4b", "0e9730f2926f1baf",
+            "9decba1d1b87e9df",
+        ),
+        "async_greedy": (
+            15, 193, "6906f4ed17cb847a", "bdb2b481a1353d14",
+            "b86572dfca237f47",
+        ),
+        "async_lcm_greedy": (
+            13, 49, "e17f139a497b75d7", "fe0473d47ec92cc4",
+            "7bf1a44ec4532354",
+        ),
+        "async_lcm_staleness_2": (
+            400, 1633, "0681834431598478", "fd9263b3964fdd02",
+            "338843da4af585a6",
+        ),
+        "euclidean_crash": (
+            60, 177, "e672f7b35f62129c", "2e839976f6b79dcf",
+            "dc937b59892604f5",
+        ),
+        "faulty_sleep_crash": (
+            300, 1416, "a206963fe547da28", "27b682bd80858404",
+            "b20e1628b9fc0860",
+        ),
+        "round_robin": (
+            300, 344, "62b2ee415c5b794e", "3190aaef0a00d705",
+            "77ef4c0c40319028",
+        ),
+        "tolerant_byzantine": (
+            600, 9289, "31faf8a5840099b2", "10114b8e7e772250",
+            "11ab9d5176bdc5e2",
+        ),
+        "tolerant_byzantine_checked": (
+            72, 1705, "0686274c76b37a0d", "0b102dd2edb7f096",
+            "f5287be748c4ba3f",
+        ),
+        "uniform_k3": (
+            400, 4963, "39d4adcb48d5bf34", "1ede6440458d765d",
+            "7d7ea3ec0353a2aa",
+        ),
+    }
+
+    @staticmethod
+    def _digest(value) -> str:
+        import hashlib
+
+        return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+    @classmethod
+    def fingerprint(cls, name):
+        scn, options = cls.RUNS[name]
+        options = dict(options)
+        options.setdefault("scheduler", "ssync")
+        grid = options.get("strategy") != "euclidean"
+        result = simulate(scn, record_trajectory=grid, **options)
+        series = [(m.robots, m.merged) for m in result.metrics.rows]
+        events = [
+            (e.round_index, e.kind, sorted(e.data.items()))
+            for e in result.events
+        ]
+        trajectory = (
+            [sorted(s) for s in result.trajectory] if grid else None
+        )
+        return (
+            result.rounds,
+            result.activations,
+            cls._digest(series),
+            cls._digest(events),
+            cls._digest(trajectory),
+        )
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_pinned_digest(self, name):
+        assert self.fingerprint(name) == self.PINNED[name]

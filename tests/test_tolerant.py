@@ -3,10 +3,11 @@
 :func:`repro.core.tolerant.certified_subset` admits planned moves one at
 a time against a core it updates in place.  These tests hold it to the
 plain greedy loop — a full certificate re-check per planned move, kept
-here as a test-local reference — on seeded random inputs, check that
-``AlgorithmConfig(incremental=False)`` (the per-move rescan) leaves whole
-tolerant runs unchanged, and pin tolerant trajectories recorded before
-the filter became incremental.
+here as a test-local reference — on seeded random inputs (also when
+told that a connected occupancy is connected, as the engines' stamp
+does), check that ``AlgorithmConfig(incremental=False)`` (the per-move
+rescan) leaves whole tolerant runs unchanged, and pin tolerant
+trajectories recorded before the filter became incremental.
 """
 
 from __future__ import annotations
@@ -104,6 +105,10 @@ def test_incremental_filter_matches_reference(kind):
             sorted(occupied), planned
         )
         assert certified_subset_rescan(occupied, planned) == expected
+        if is_connected(occupied):  # an engine's stamp would say so
+            assert certified_subset(
+                occupied, planned, connected=True
+            ) == expected
 
 
 def test_filter_is_pure():

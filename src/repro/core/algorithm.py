@@ -122,19 +122,6 @@ class GatherOnGrid:
         # Step 1: merge operations (state-free).
         if pipeline is not None:
             merge_moves, patterns = pipeline.plan_merges(state)
-            # Audit trail of the incremental boundary maintenance: one
-            # event per round listing every spliced/re-traced arc as a
-            # ``(cycle_id, arc_sides, removed_sides)`` triple (cycle id
-            # -1 = full-rebuild fallback).  Diagnostic only — excluded
-            # from the trajectory digests, since full-rescan mode does
-            # no splicing.
-            resplices = pipeline.take_resplices()
-            if resplices:
-                self.events.emit(
-                    round_index,
-                    "boundary_respliced",
-                    arcs=[list(r) for r in resplices],
-                )
         else:
             merge_moves, patterns = plan_merges(state, cfg)
         self._last_patterns = tuple(p.kind for p in patterns)
@@ -142,18 +129,40 @@ class GatherOnGrid:
         if not cfg.enable_runs:
             return merge_moves
 
-        contours = (
-            pipeline.contours(state)
-            if pipeline is not None
-            else RingSet.from_cells(occupied)
-        )
-        located, lost = self.run_manager.locate(contours)
-
         # Step 3 (checked before acting so fresh runs reshape this same
         # round, like the paper's start hop): start new runs every L rounds.
         starts_due = round_index % cfg.run_start_interval == 0 and (
             cfg.pipelining or round_index == 0
         )
+        if not starts_due and not self.run_manager.runs:
+            # Nothing reads the contours this round: skip their repair
+            # (the incremental rings batch it into the next read) and
+            # record the empty plan a zero-run ``plan`` would.
+            self.run_manager.plan_idle()
+            return merge_moves
+
+        contours = (
+            pipeline.contours(state)
+            if pipeline is not None
+            else RingSet.from_cells(occupied)
+        )
+        if pipeline is not None:
+            # Audit trail of the incremental boundary maintenance, in the
+            # round whose read repaired the rings: every spliced or
+            # re-traced arc of the batched repair as a ``(cycle_id,
+            # arc_sides, removed_sides)`` triple (cycle id -1 = full-
+            # rebuild fallback).  Diagnostic only — excluded from the
+            # trajectory digests, since full-rescan mode does no
+            # splicing.
+            resplices = pipeline.take_resplices()
+            if resplices:
+                self.events.emit(
+                    round_index,
+                    "boundary_respliced",
+                    arcs=[list(r) for r in resplices],
+                )
+        located, lost = self.run_manager.locate(contours)
+
         if starts_due:
             # Incremental mode reads the persistent start-site index
             # (repaired per splice); full-rescan mode walks the contours.

@@ -18,8 +18,8 @@ whose anchor is not dirty is still exact.  See ``docs/incremental.md`` for
 the invariant catalogue and the equality argument.
 
 **Boundaries are persistent linked rings.**  Contours live in a
-:class:`repro.grid.ring.RingSet`: each round, only the *dirty arcs* of
-affected rings are re-traced and spliced in place (O(dirty arc)), instead
+:class:`repro.grid.ring.RingSet`: each repair re-traces and splices in
+place only the *dirty arcs* of affected rings (O(dirty arc)), instead
 of rebuilding whole ``Boundary`` tuples per changed cycle (O(contour)).
 Ring consumers (run location, run planning, start sites) navigate stable
 :class:`~repro.grid.ring.RingNode` references; the frozen-tuple
@@ -40,11 +40,20 @@ The pipeline keys its validity on ``SwarmState.version``: it applies the
 any other history (fresh state, replays, external mutation of
 ``state.cells`` is *not* detected — engines must go through
 ``apply_moves``).
+
+**Contours are repaired on demand.**  The merge cache syncs every round;
+the rings sync only when a round reads them (:meth:`contours`,
+:meth:`start_sites`).  Between reads each round's ``last_changed`` is
+unioned into a pending set, and the read makes one ``RingSet.update``
+call with that union — a superset of the net occupancy flips, which
+successor locality makes a valid ``changed`` set.  Once the pending set
+holds as many cells as the swarm, a repair would touch as much as a
+rebuild, so it is dropped and the rings are rebuilt on demand instead.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.config import AlgorithmConfig
 from repro.core.patterns import MergeCache, MergePattern
@@ -71,18 +80,22 @@ class IncrementalPipeline:
         # could be reused by a new SwarmState and alias stale caches.
         self._state: Optional[SwarmState] = None
         self._version: Optional[int] = None
+        # Cells flipped since the rings were last repaired; None when the
+        # rings must be rebuilt on their next read.
+        self._ring_pending: Optional[Set[Cell]] = None
 
     # ------------------------------------------------------------------
     def _sync(self, state: SwarmState) -> None:
-        """Bring the caches up to date with ``state``.
+        """Bring the merge cache up to date with ``state`` and record the
+        round's flips for the next ring repair.
 
         Delta path: same state object, version advanced by exactly one
         ``apply_moves`` — consume ``state.last_changed``.  Anything else
-        (first use, a different state, a version jump) rebuilds fully.
+        (first use, a different state, a version jump) rebuilds the merge
+        cache and marks the rings for a rebuild on their next read.
         """
         if self._state is state and self._version == state.version:
             return  # already synced this round
-        cells = state.cells
         if (
             self._state is state
             and self._version is not None
@@ -90,12 +103,28 @@ class IncrementalPipeline:
         ):
             changed = state.last_changed
             self.merge_cache.update(state, changed)
-            self.ring_set.update(cells, changed, rows=state.rows())
+            pending = self._ring_pending
+            if pending is not None:
+                pending.update(changed)
+                if len(pending) >= len(state.cells):
+                    self._ring_pending = None  # a rebuild is as cheap
         else:
             self.merge_cache.rebuild(state)
-            self.ring_set.rebuild(cells)
+            self._ring_pending = None
         self._state = state
         self._version = state.version
+
+    def _sync_rings(self, state: SwarmState) -> None:
+        """Repair the rings from every flip since their last read, in one
+        batched ``RingSet.update`` (or rebuild them, see :meth:`_sync`)."""
+        self._sync(state)
+        pending = self._ring_pending
+        if pending is None:
+            self.ring_set.rebuild(state.cells)
+            self._ring_pending = set()
+        elif pending:
+            self.ring_set.update(state.cells, pending, rows=state.rows())
+            pending.clear()
 
     # ------------------------------------------------------------------
     def plan_merges(
@@ -108,20 +137,20 @@ class IncrementalPipeline:
     def contours(self, state: SwarmState) -> RingSet:
         """The maintained linked-ring contours of ``state`` (replaces the
         per-round :func:`repro.grid.boundary.extract_boundaries` call)."""
-        self._sync(state)
+        self._sync_rings(state)
         return self.ring_set
 
     def start_sites(self, state: SwarmState) -> List[StartSite]:
         """Run start sites from the persistent index — bit-identical
         admissions to :func:`repro.core.quasiline.run_start_sites` over
         the same contours, without the per-start-round contour walk."""
-        self._sync(state)
+        self._sync_rings(state)
         return self.site_index.sites(self.ring_set)
 
     def take_resplices(self) -> List[Tuple[int, int, int]]:
         """Drain the ``(ring_id, arc_sides, removed_sides)`` records of
-        the incremental boundary work since the last drain (for the
-        controller's ``boundary_respliced`` events)."""
+        the ring repair since the last drain (for the controller's
+        ``boundary_respliced`` events)."""
         out = self.ring_set.last_resplices
         self.ring_set.last_resplices = []
         return out

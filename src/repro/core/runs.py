@@ -369,6 +369,12 @@ class RunManager:
     # ------------------------------------------------------------------
     # Per-round planning (paper Figure 11 step 2)
     # ------------------------------------------------------------------
+    def plan_idle(self) -> None:
+        """Record the empty plan of a round with no live run — what
+        :meth:`plan` leaves behind with zero runs, without reading any
+        contour."""
+        self._planned = []
+
     def plan(
         self,
         contours: RingSet,

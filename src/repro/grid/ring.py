@@ -277,11 +277,12 @@ class RingSet:
     """All boundary contours of a swarm as persistent linked rings.
 
     ``rebuild`` constructs the rings from scratch (O(total sides));
-    ``update`` repairs them in place from the round's changed cells,
-    splicing only dirty arcs (O(dirty arc) in steady state, with a full
-    rebuild fallback on contour splits/merges).  Both leave the ring list
-    in canonical order and every ring's head at its canonical start side,
-    so materialization is byte-identical to full extraction.
+    ``update`` repairs them in place from the cells changed since the
+    last repair, splicing only dirty arcs (O(dirty arc) in steady state,
+    with a full rebuild fallback on contour splits/merges).  Both leave
+    the ring list in canonical order and every ring's head at its
+    canonical start side, so materialization is byte-identical to full
+    extraction.
 
     ``last_resplices`` records the incremental work of the latest update
     as ``(ring_id, arc_sides, removed_sides)`` triples; a full-rebuild
@@ -390,7 +391,7 @@ class RingSet:
             if node is not None and node.ring is ring:
                 return node
             heappop(heap)
-        raise AssertionError("empty ring has no canonical side")
+        raise InvariantError("empty ring has no canonical side")
 
     def _unregister(self, node: RingNode) -> None:
         del self.node_of[(node.cell, node.normal)]
@@ -472,7 +473,14 @@ class RingSet:
     ) -> List[BoundaryRing]:
         """Repair the rings after the cells in ``changed`` flipped
         occupancy.  ``rows`` is an optional ``y -> sorted xs`` index of
-        ``occupied`` for O(#rows) outer-anchor lookup."""
+        ``occupied`` for O(#rows) outer-anchor lookup.
+
+        ``changed`` may be any superset of the net flips since the rings
+        were last exact — in particular the union of several rounds'
+        ``last_changed`` sets.  Successor locality makes every such set
+        valid: every check below reads the current ``occupied``, so a
+        cell that flipped and flipped back is only extra dirt, and the
+        fallback still catches contour splits and merges."""
         if not self._primed:
             return self.rebuild(occupied)
         changed = set(changed)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Dict, List, Optional, Sequence, Set
 
+from repro.errors import InvariantError
 from repro.grid.connectivity import is_connected
 from repro.grid.geometry import Cell
 
@@ -28,7 +29,9 @@ def _finish(cells: Set[Cell] | Sequence[Cell]) -> List[Cell]:
     if not out:
         raise ValueError("generator produced an empty swarm")
     if not is_connected(out):
-        raise AssertionError("generator produced a disconnected swarm (bug)")
+        raise InvariantError(
+            "generator produced a disconnected swarm (bug)"
+        )
     return out
 
 

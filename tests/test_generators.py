@@ -130,6 +130,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             ensure_connected([])
 
+    def test_disconnected_output_is_an_invariant_error(self):
+        """A generator bug that yields a disconnected shape raises a
+        typed error that survives ``python -O`` (not a bare assert)."""
+        from repro.errors import InvariantError
+        from repro.swarms.generators import _finish
+
+        with pytest.raises(InvariantError, match="disconnected"):
+            _finish([(0, 0), (5, 5)])
+        assert _finish([(1, 0), (0, 0)]) == [(0, 0), (1, 0)]
+
     def test_normalize(self):
         assert normalize([(5, 7), (6, 7)]) == [(0, 0), (1, 0)]
         assert normalize([]) == []

@@ -14,6 +14,7 @@ import pytest
 
 from repro.core.algorithm import GatherOnGrid
 from repro.core.config import AlgorithmConfig
+from repro.core.quasiline import StartSiteIndex, run_start_sites
 from repro.engine.scheduler import FsyncEngine
 from repro.grid.boundary import extract_boundaries
 from repro.grid.occupancy import SwarmState
@@ -129,6 +130,20 @@ class TestSpliceEdgeCases:
         assert rs.last_resplices == []
 
 
+class TestInvariants:
+    def test_canonical_min_of_an_empty_ring_is_an_invariant_error(self):
+        """A ring whose every side is dead has no canonical head: a
+        typed error that survives ``python -O``, not a bare assert."""
+        from repro.errors import InvariantError
+
+        rs = RingSet.from_cells(set(ring(6)))
+        inner = rs.rings[1]
+        rs.node_of = {}  # every heap entry is now a dead side
+        inner._minheap = None
+        with pytest.raises(InvariantError, match="canonical side"):
+            rs._min_node(inner)
+
+
 class TestNodeStability:
     def test_clean_nodes_keep_identity(self):
         """Nodes outside the dirty arcs survive an update as the same
@@ -234,3 +249,215 @@ class TestResplicedEvents:
 
         r = gather(ring(12), AlgorithmConfig(incremental=False))
         assert not r.events.of_kind("boundary_respliced")
+
+
+def assert_index_matches_scan(idx, rs, cells):
+    """The start-site index over the repaired rings admits exactly the
+    sites the full contour scan finds on freshly extracted boundaries."""
+    def canonical(sites):
+        return [
+            (s.boundary_index, s.robot, s.direction, s.stretch_dir, s.prev)
+            for s in sorted(
+                sites,
+                key=lambda s: (s.boundary_index, s.position, s.direction),
+            )
+        ]
+
+    steps = AlgorithmConfig().start_straight_steps
+    want = run_start_sites(extract_boundaries(set(cells)), steps)
+    assert canonical(idx.sites(rs)) == canonical(want)
+
+
+def indexed_ring_set(cells):
+    rs = RingSet.from_cells(set(cells))
+    idx = StartSiteIndex(AlgorithmConfig().start_straight_steps)
+    rs.observer = idx
+    return rs, idx
+
+
+class TestBatchedRepair:
+    """``RingSet.update`` fed the union of several rounds' flips — the
+    form the pipeline uses when it repairs only in rounds that read the
+    contours.  The union is a superset of the net flips (a cell that
+    flipped twice is only extra dirt), so every batch must still
+    materialize byte-identically to full extraction."""
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 22, 40])
+    @pytest.mark.parametrize(
+        "fam,n",
+        # sized so every gather runs 27-314 rounds, long enough for
+        # several multi-round batches
+        [("ring", 124), ("spiral", 331), ("blob", 1500), ("tree", 1000),
+         ("solid", 2500), ("staircase", 499)],
+    )
+    def test_engine_batches_match_extraction(self, fam, n, k):
+        from repro.swarms.generators import family
+
+        cells = family(fam, n)
+        rs, idx = indexed_ring_set(cells)
+        eng = FsyncEngine(
+            SwarmState(cells), GatherOnGrid(AlgorithmConfig()),
+            check_connectivity=False,
+        )
+        batch = set()
+        repairs = 0
+        while not eng.state.is_gathered():
+            assert eng.round_index < 1000, "the gather stalled"
+            eng.step()
+            batch |= eng.state.last_changed
+            if eng.round_index % k == 0 or eng.state.is_gathered():
+                rs.update(eng.state.cells, batch, rows=eng.state.rows())
+                batch = set()
+                assert_canonical(rs, eng.state.cells)
+                assert_index_matches_scan(idx, rs, eng.state.cells)
+                repairs += 1
+        assert repairs == -(-eng.round_index // k)
+
+    def test_hole_opens_and_closes_within_one_batch(self):
+        """A hole opened in one round and filled in the next leaves no
+        net flip there; the batch carries the cell as extra dirt next to
+        a real change on the outer contour."""
+        start = set(solid_rectangle(6, 6))
+        rs, idx = indexed_ring_set(start)
+        opened = start - {(2, 2), (0, 0)}
+        assert len(extract_boundaries(opened)) == 2  # the hole is real
+        end = opened | {(2, 2)}
+        rs.update(end, {(2, 2), (0, 0)})
+        assert_canonical(rs, end)
+        assert_index_matches_scan(idx, rs, end)
+        assert len(rs.rings) == 1
+
+    def test_hole_closes_and_another_opens_within_one_batch(self):
+        """One hole filled and another opened in one batch: the old
+        inner ring is doomed and the new one reseeded."""
+        start = set(solid_rectangle(7, 7)) - {(2, 2)}
+        rs, idx = indexed_ring_set(start)
+        end = (start | {(2, 2)}) - {(4, 4)}
+        rs.update(end, {(2, 2), (4, 4)})
+        assert_canonical(rs, end)
+        assert_index_matches_scan(idx, rs, end)
+        assert len(rs.rings) == 2
+
+    def test_split_inside_a_batch_falls_back(self):
+        """Closing a C into an O splits its contour; with further flips
+        batched around it the repair must still take the full-rebuild
+        fallback and match extraction."""
+        full = set(ring(8))
+        gap = (3, 0)
+        start = full - {gap}
+        rs, idx = indexed_ring_set(start)
+        assert len(rs.rings) == 1
+        # round 1 closes the gap; round 2 moves a far corner inward
+        end = (full - {(7, 7)}) | {(6, 6)}
+        rs.update(end, {gap, (7, 7), (6, 6)})
+        assert any(cid == -1 for cid, _, _ in rs.last_resplices)
+        assert_canonical(rs, end)
+        assert_index_matches_scan(idx, rs, end)
+        assert len(rs.rings) == 2
+
+
+class TestDemandDrivenRepair:
+    """The pipeline repairs its rings only in rounds that read them."""
+
+    def test_repairs_equal_contour_reading_rounds(self):
+        """On a compact blob gather the ring set is touched (one
+        batched update, or a rebuild after the pending set outgrew the
+        swarm) exactly in the rounds with a live run or a due start."""
+        from repro.swarms.generators import random_blob
+
+        cfg = AlgorithmConfig()
+        ctrl = GatherOnGrid(cfg)
+        # 29 rounds: runs live in rounds 0-7, starts due at 0 and 22
+        eng = FsyncEngine(SwarmState(random_blob(1500, 2)), ctrl)
+        rs = ctrl._pipeline.ring_set
+        touched = []
+        nested = [0]
+        update, rebuild = rs.update, rs.rebuild
+
+        repaired = []  # (round, arcs) of every repair that spliced
+
+        def counting_update(*args, **kwargs):
+            touched.append(eng.round_index)
+            nested[0] += 1
+            try:
+                return update(*args, **kwargs)
+            finally:
+                nested[0] -= 1
+                if rs.last_resplices:
+                    repaired.append((
+                        eng.round_index,
+                        [list(r) for r in rs.last_resplices],
+                    ))
+
+        def counting_rebuild(*args, **kwargs):
+            if not nested[0]:  # a fallback inside an update is not a sync
+                touched.append(eng.round_index)
+            return rebuild(*args, **kwargs)
+
+        rs.update, rs.rebuild = counting_update, counting_rebuild
+        reading = []
+        while not eng.state.is_gathered():
+            assert eng.round_index < 1000, "the gather stalled"
+            r = eng.round_index
+            if ctrl.run_manager.runs or r % cfg.run_start_interval == 0:
+                reading.append(r)
+            eng.step()
+        assert touched == reading
+        assert len(reading) < eng.round_index // 2  # most rounds skip
+        # the audit lands in the round whose plan did the repair and
+        # lists every arc of it
+        audited = [
+            (e.round_index, e.data["arcs"])
+            for e in ctrl.events.of_kind("boundary_respliced")
+        ]
+        assert audited == repaired
+        assert audited
+
+    def test_pending_flips_stay_bounded_without_runs(self):
+        """With runs disabled nothing reads the contours after a first
+        read; the pending flips are dropped (rebuild on demand) once they
+        reach the swarm size, so memory stays O(n)."""
+        from repro.swarms.generators import random_blob
+
+        ctrl = GatherOnGrid(AlgorithmConfig(enable_runs=False))
+        eng = FsyncEngine(SwarmState(random_blob(300, 5)), ctrl)
+        pipe = ctrl._pipeline
+        pipe.contours(eng.state)  # build the rings once
+        assert pipe._ring_pending == set()
+        sizes = []
+        while not eng.state.is_gathered():
+            assert eng.round_index < 1000, "the gather stalled"
+            n = len(eng.state)  # the plan syncs against this size
+            eng.step()
+            pending = pipe._ring_pending
+            if pending is None:
+                break
+            assert len(pending) < n
+            sizes.append(len(pending))
+        assert pipe._ring_pending is None, "the bound never fired"
+        assert sizes and sizes == sorted(sizes)  # a union only grows
+        rebuilds = []
+        rebuild = pipe.ring_set.rebuild
+        pipe.ring_set.rebuild = lambda cells: rebuilds.append(1) or rebuild(
+            cells
+        )
+        assert_canonical(pipe.contours(eng.state), eng.state.cells)
+        assert rebuilds == [1]
+
+    def test_version_jump_and_foreign_state_rebuild_on_read(self):
+        """Flips the pipeline never saw (two ``apply_moves`` between
+        syncs, or a different state object) cannot be batched: the next
+        read must rebuild, not repair from an incomplete pending set."""
+        from repro.core.incremental import IncrementalPipeline
+
+        pipe = IncrementalPipeline(AlgorithmConfig())
+        state = SwarmState(solid_rectangle(6, 6))
+        pipe.contours(state)
+        pipe.plan_merges(state)
+        state.apply_moves({(0, 0): (1, 1)})
+        state.apply_moves({(5, 5): (4, 4)})  # version jumped by two
+        pipe.plan_merges(state)  # a non-reading round syncs the jump
+        assert_canonical(pipe.contours(state), state.cells)
+        other = SwarmState(ring(7))
+        pipe.plan_merges(other)
+        assert_canonical(pipe.contours(other), other.cells)

@@ -596,48 +596,49 @@ class TestPinnedFamily:
         ),
     }
 
-    #: ``(rounds, activations, series digest, events digest,
+    #: ``(rounds, activations, series digest, events digest, events
+    #: digest without the diagnostic ``boundary_respliced`` audit,
     #: trajectory digest)`` per run.
     PINNED = {
         "adversarial": (
-            200, 301, "5eb9d9a30f5aec4b", "0e9730f2926f1baf",
-            "9decba1d1b87e9df",
+            200, 301, "5eb9d9a30f5aec4b", "5a22d9d468858a5e",
+            "5a22d9d468858a5e", "9decba1d1b87e9df",
         ),
         "async_greedy": (
             15, 193, "6906f4ed17cb847a", "bdb2b481a1353d14",
-            "b86572dfca237f47",
+            "bdb2b481a1353d14", "b86572dfca237f47",
         ),
         "async_lcm_greedy": (
             13, 49, "e17f139a497b75d7", "fe0473d47ec92cc4",
-            "7bf1a44ec4532354",
+            "fe0473d47ec92cc4", "7bf1a44ec4532354",
         ),
         "async_lcm_staleness_2": (
-            400, 1633, "0681834431598478", "fd9263b3964fdd02",
-            "338843da4af585a6",
+            400, 1633, "0681834431598478", "b06e810ed49a7386",
+            "aac82c3d8f6a7f80", "338843da4af585a6",
         ),
         "euclidean_crash": (
             60, 177, "e672f7b35f62129c", "2e839976f6b79dcf",
-            "dc937b59892604f5",
+            "2e839976f6b79dcf", "dc937b59892604f5",
         ),
         "faulty_sleep_crash": (
-            300, 1416, "a206963fe547da28", "27b682bd80858404",
-            "b20e1628b9fc0860",
+            300, 1416, "a206963fe547da28", "2a1cfe0d363f9667",
+            "f3294b3443e7e81b", "b20e1628b9fc0860",
         ),
         "round_robin": (
-            300, 344, "62b2ee415c5b794e", "3190aaef0a00d705",
-            "77ef4c0c40319028",
+            300, 344, "62b2ee415c5b794e", "498de3279e508e17",
+            "498de3279e508e17", "77ef4c0c40319028",
         ),
         "tolerant_byzantine": (
-            600, 9289, "31faf8a5840099b2", "10114b8e7e772250",
-            "11ab9d5176bdc5e2",
+            600, 9289, "31faf8a5840099b2", "703f2f305fe4c1df",
+            "239b45ac0f6dddda", "11ab9d5176bdc5e2",
         ),
         "tolerant_byzantine_checked": (
-            72, 1705, "0686274c76b37a0d", "0b102dd2edb7f096",
-            "f5287be748c4ba3f",
+            72, 1705, "0686274c76b37a0d", "f887410bb96eb7ff",
+            "2d90b929660e4ab1", "f5287be748c4ba3f",
         ),
         "uniform_k3": (
-            400, 4963, "39d4adcb48d5bf34", "1ede6440458d765d",
-            "7d7ea3ec0353a2aa",
+            400, 4963, "39d4adcb48d5bf34", "ee4852cf73bac62f",
+            "d770a875fee9adec", "7d7ea3ec0353a2aa",
         ),
     }
 
@@ -667,6 +668,9 @@ class TestPinnedFamily:
             result.activations,
             cls._digest(series),
             cls._digest(events),
+            cls._digest(
+                [e for e in events if e[1] != "boundary_respliced"]
+            ),
             cls._digest(trajectory),
         )
 

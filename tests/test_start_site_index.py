@@ -18,6 +18,7 @@ from repro.core.algorithm import GatherOnGrid
 from repro.core.config import AlgorithmConfig
 from repro.core.quasiline import StartSiteIndex, run_start_sites
 from repro.engine.scheduler import FsyncEngine
+from repro.grid.boundary import extract_boundaries
 from repro.grid.occupancy import SwarmState
 from repro.grid.ring import RingSet
 from repro.swarms.generators import family, ring, solid_rectangle
@@ -39,6 +40,15 @@ def fresh_index(rs: RingSet) -> StartSiteIndex:
     idx = StartSiteIndex(CFG.start_straight_steps)
     rs.observer = idx
     return idx
+
+
+def synced_rings(ctrl: GatherOnGrid, state: SwarmState) -> RingSet:
+    """The controller's rings repaired up to ``state``.  The pipeline
+    repairs them only in rounds that read contours, so a test that
+    inspects them after an arbitrary step must read through
+    ``contours`` first, or it compares stale rings with an equally
+    stale index."""
+    return ctrl._pipeline.contours(state)
 
 
 def assert_sites_match(idx: StartSiteIndex, rs: RingSet):
@@ -66,10 +76,47 @@ class TestEngineDifferential:
             if eng.state.is_gathered():
                 break
             eng.step()
-            pipe = ctrl._pipeline
-            assert_sites_match(pipe.site_index, pipe.ring_set)
+            rs = synced_rings(ctrl, eng.state)
+            assert_sites_match(ctrl._pipeline.site_index, rs)
             compared += 1
         assert compared > 0
+
+
+class TestBatchedRepair:
+    """The pipeline repairs its rings (and through them the index) only
+    in rounds that read contours, from the union of every flip since the
+    last repair.  Queried every ``k`` rounds, its sites must equal the
+    full scan (:func:`run_start_sites`, i.e. ``_scan_cycle_sites`` per
+    contour) of freshly extracted boundaries — an oracle that shares no
+    state with the repaired rings."""
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 22, 40])
+    @pytest.mark.parametrize(
+        "fam,n", [("ring", 124), ("spiral", 331), ("blob", 1500),
+                  ("tree", 1000), ("solid", 2500), ("staircase", 499)]
+    )
+    def test_batched_index_matches_fresh_scan(self, fam, n, k):
+        ctrl = GatherOnGrid(CFG)
+        eng = FsyncEngine(
+            SwarmState(family(fam, n)), ctrl, check_connectivity=False
+        )
+        pipe = ctrl._pipeline
+        queries = 0
+        while not eng.state.is_gathered():
+            assert eng.round_index < 1000, "the gather stalled"
+            eng.step()
+            if eng.round_index % k and not eng.state.is_gathered():
+                continue
+            got = canonical_sites(pipe.start_sites(eng.state))
+            want = canonical_sites(
+                run_start_sites(
+                    extract_boundaries(eng.state.cells),
+                    CFG.start_straight_steps,
+                )
+            )
+            assert got == want
+            queries += 1
+        assert queries == -(-eng.round_index // k)
 
 
 class TestRingSetRepair:
@@ -133,7 +180,9 @@ class TestRingSetRepair:
                 if eng.state.is_gathered():
                     break
                 eng.step()
-            assert_sites_match(pipe.site_index, pipe.ring_set)
+            assert_sites_match(
+                pipe.site_index, synced_rings(ctrl, eng.state)
+            )
 
     def test_short_contours_are_skipped_like_the_scan(self):
         """Contours shorter than straight_steps + 2 yield no sites in
@@ -162,12 +211,11 @@ class TestOrderLabels:
         eng = FsyncEngine(
             SwarmState(ring(24)), ctrl, check_connectivity=False
         )
-        pipe = ctrl._pipeline
         for _ in range(60):
             if eng.state.is_gathered():
                 break
             eng.step()
-            for ring_obj in pipe.ring_set.rings:
+            for ring_obj in synced_rings(ctrl, eng.state).rings:
                 # exactly one wrap-around point on the label cycle
                 assert self.descents(ring_obj) == 1
 
@@ -218,9 +266,10 @@ class TestOrderLabels:
             if eng.state.is_gathered():
                 break
             eng.step()
-            for ring_obj in pipe.ring_set.rings:
+            rs = synced_rings(ctrl, eng.state)
+            for ring_obj in rs.rings:
                 assert self.descents(ring_obj) == 1
-            assert_sites_match(pipe.site_index, pipe.ring_set)
+            assert_sites_match(pipe.site_index, rs)
 
     def test_label_order_matches_cycle_order(self):
         """Sorting heads by the (wrap-split) label key reproduces the
@@ -229,12 +278,11 @@ class TestOrderLabels:
         eng = FsyncEngine(
             SwarmState(ring(24)), ctrl, check_connectivity=False
         )
-        pipe = ctrl._pipeline
         for _ in range(50):
             if eng.state.is_gathered():
                 break
             eng.step()
-            for ring_obj in pipe.ring_set.rings:
+            for ring_obj in synced_rings(ctrl, eng.state).rings:
                 n = len(ring_obj)
                 if n < 2:
                     continue

@@ -228,50 +228,71 @@ def _bump_patterns(
     return patterns
 
 
+def _leaf_corner_table() -> Tuple[Optional[Tuple[str, Cell]], ...]:
+    """The 16-entry leaf/corner rule, indexed by the occupancy mask of a
+    robot's 4-neighbors (bit 0 E, 1 N, 2 W, 3 S): ``(kind, direction)``
+    or ``None``.
+
+    One neighbor: a leaf hop onto it.  Two perpendicular neighbors: a
+    corner hop onto the diagonal between them — subject, at lookup time,
+    to that diagonal being occupied and corner merges being enabled.
+    Anything else has no leaf/corner candidate.
+    """
+    sides = ((1, 0), (0, 1), (-1, 0), (0, -1))
+    table: List[Optional[Tuple[str, Cell]]] = []
+    for mask in range(16):
+        nbrs = [d for i, d in enumerate(sides) if mask >> i & 1]
+        if len(nbrs) == 1:
+            table.append(("leaf", nbrs[0]))
+        elif len(nbrs) == 2 and perpendicular(nbrs[0], nbrs[1]):
+            table.append(("corner", add(nbrs[0], nbrs[1])))
+        else:
+            table.append(None)
+    return tuple(table)
+
+
+_LEAF_CORNER = _leaf_corner_table()
+
+
 def _leaf_corner_for(
-    cells: Set[Cell], c: Cell, cfg: AlgorithmConfig
+    cells: Set[Cell],
+    c: Cell,
+    cfg: AlgorithmConfig,
+    cached: Optional[MergePattern] = None,
 ) -> Optional[MergePattern]:
     """The leaf or corner candidate of one robot (at most one exists).
 
-    Neighbor checks are inlined — the incremental rescan calls this for
-    every cell in a dirty 8-neighborhood every round.
+    A lookup of :data:`_LEAF_CORNER` on the 4-neighbor mask gives the
+    kind and direction; a corner then checks its one diagonal.  The
+    incremental rescan calls this for every cell in a dirty
+    8-neighborhood every round, and passes the robot's ``cached``
+    pattern: it is returned as is when kind and direction are unchanged
+    (its mover ``(c,)`` and frozen cell ``c + direction`` follow from
+    those two), so an unchanged candidate costs no new object.
     """
     x, y = c
-    nbrs = []
-    if (x + 1, y) in cells:
-        nbrs.append((x + 1, y))
-    if (x, y + 1) in cells:
-        nbrs.append((x, y + 1))
-    if (x - 1, y) in cells:
-        nbrs.append((x - 1, y))
-    if (x, y - 1) in cells:
-        nbrs.append((x, y - 1))
-    if len(nbrs) == 1:
-        # Leaf merge: always safe — removing a degree-1 vertex keeps
-        # the connectivity graph connected.
-        return MergePattern(
-            kind="leaf",
-            movers=(c,),
-            direction=sub(nbrs[0], c),
-            frozen=frozenset(nbrs),
-        )
-    if (
-        cfg.enable_corner_merges
-        and len(nbrs) == 2
-        and perpendicular(sub(nbrs[0], c), sub(nbrs[1], c))
+    entry = _LEAF_CORNER[
+        ((x + 1, y) in cells)
+        | ((x, y + 1) in cells) << 1
+        | ((x - 1, y) in cells) << 2
+        | ((x, y - 1) in cells) << 3
+    ]
+    if entry is None:
+        return None
+    kind, d = entry
+    target = (x + d[0], y + d[1])
+    # Leaf merge: always safe — removing a degree-1 vertex keeps the
+    # connectivity graph connected.  Corner merge: the mover stays
+    # 4-adjacent to both former neighbors from the diagonal cell.
+    if kind == "corner" and not (
+        cfg.enable_corner_merges and target in cells
     ):
-        diag = add(sub(nbrs[0], c), sub(nbrs[1], c))
-        target = add(c, diag)
-        if target in cells:
-            # Corner merge: the mover stays 4-adjacent to both former
-            # neighbors from the diagonal cell.
-            return MergePattern(
-                kind="corner",
-                movers=(c,),
-                direction=diag,
-                frozen=frozenset((target,)),
-            )
-    return None
+        return None
+    if cached is not None and cached.kind == kind and cached.direction == d:
+        return cached
+    return MergePattern(
+        kind=kind, movers=(c,), direction=d, frozen=frozenset((target,))
+    )
 
 
 def _leaf_corner_patterns(
@@ -700,7 +721,7 @@ class MergeCache:
         cell_patterns = self._cell_patterns
         for c in leaf_dirty:
             p = (
-                _leaf_corner_for(cells, c, cfg)
+                _leaf_corner_for(cells, c, cfg, cell_patterns.get(c))
                 if c in cells
                 and c not in row_movers
                 and c not in col_movers

@@ -45,7 +45,7 @@ from repro.explore.canonical import (
     round_phase,
 )
 from repro.grid.connectivity import articulation_cells, is_connected
-from repro.grid.geometry import Cell
+from repro.grid.geometry import Cell, bounding_box
 from repro.trace.replay import (
     controller_checkpoint,
     grid_controller_class,
@@ -286,12 +286,8 @@ def _status_of(cells: Set[Cell], gather_square: int) -> str:
     (e.g. two diagonal robots inside a 2x2 box are disconnected yet
     bbox-gathered); the engine reports such runs as ``gathered``, so
     the explorer must too or witnesses would not replay."""
-    xs = [x for x, _ in sorted(cells)]
-    ys = [y for _, y in sorted(cells)]
-    if (
-        max(xs) - min(xs) <= gather_square - 1
-        and max(ys) - min(ys) <= gather_square - 1
-    ):
+    x_lo, y_lo, x_hi, y_hi = bounding_box(cells)
+    if x_hi - x_lo <= gather_square - 1 and y_hi - y_lo <= gather_square - 1:
         return "gathered"
     if not is_connected(cells):
         return "disconnected"

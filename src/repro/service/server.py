@@ -10,6 +10,10 @@ deliberate choices keep SSE simple on the stdlib:
 * ``daemon_threads`` is on, so long-lived event streams never block
   server shutdown.
 
+Request bodies are bounded before they are read: a malformed or
+negative ``Content-Length`` is answered 400 and one above
+:data:`MAX_BODY_BYTES` 413, both without reading the body.
+
 :func:`serve` is the blocking entry point behind ``repro serve``.
 """
 
@@ -21,7 +25,11 @@ from pathlib import Path
 from typing import Optional, Union
 from urllib.parse import parse_qsl, urlsplit
 
-from repro.service.app import Request, ServiceApp
+from repro.service.app import Request, Response, ServiceApp
+
+#: Largest request body the server reads (1 MiB); a longer declared
+#: ``Content-Length`` is answered 413 without reading the body.
+MAX_BODY_BYTES = 1 << 20
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -31,7 +39,16 @@ class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
 
     def _dispatch(self) -> None:
-        length = int(self.headers.get("Content-Length") or 0)
+        raw = (self.headers.get("Content-Length") or "0").strip()
+        if not (raw.isascii() and raw.isdigit()):
+            self._refuse(400, "malformed Content-Length")
+            return
+        length = int(raw)
+        if length > MAX_BODY_BYTES:
+            self._refuse(
+                413, f"request body over {MAX_BODY_BYTES} bytes: {length}"
+            )
+            return
         body = self.rfile.read(length) if length else b""
         parts = urlsplit(self.path)
         request = Request(
@@ -42,15 +59,7 @@ class _Handler(BaseHTTPRequestHandler):
         )
         response = self.server.app.handle(request)  # type: ignore
         if response.stream is None:
-            self.send_response(response.status)
-            self.send_header("Content-Type", response.content_type)
-            self.send_header(
-                "Content-Length", str(len(response.body))
-            )
-            for key, value in response.headers.items():
-                self.send_header(key, value)
-            self.end_headers()
-            self.wfile.write(response.body)
+            self._send(response)
             return
         # Streaming (SSE): connection-close delimited.
         self.close_connection = True
@@ -70,6 +79,23 @@ class _Handler(BaseHTTPRequestHandler):
             close = getattr(response.stream, "close", None)
             if close is not None:
                 close()
+
+    def _send(self, response: Response) -> None:
+        self.send_response(response.status)
+        self.send_header("Content-Type", response.content_type)
+        self.send_header("Content-Length", str(len(response.body)))
+        for key, value in response.headers.items():
+            self.send_header(key, value)
+        self.end_headers()
+        self.wfile.write(response.body)
+
+    def _refuse(self, status: int, message: str) -> None:
+        """Answer ``status`` without reading the body, and close the
+        connection: the unread body must not be parsed as a request."""
+        self.close_connection = True
+        response = Response.error(status, message)
+        response.headers["Connection"] = "close"
+        self._send(response)
 
     do_GET = _dispatch
     do_POST = _dispatch

@@ -452,6 +452,65 @@ class TestHttpEndToEnd:
             server.shutdown()
 
 
+class TestRequestBodyBounds:
+    """The transport refuses a bad or oversized ``Content-Length``
+    before reading the body, and keeps serving."""
+
+    @pytest.fixture
+    def server(self, tmp_path):
+        app = ServiceApp(tmp_path, inline_workers=True)
+        server = ServiceServer(app, port=0)
+        server.start()
+        try:
+            yield server
+        finally:
+            server.shutdown()
+
+    @staticmethod
+    def post_declared(server, length: str, body: bytes = b""):
+        """POST /runs declaring ``length``, sending only ``body``."""
+        conn = HTTPConnection(server.host, server.port, timeout=10.0)
+        try:
+            conn.putrequest("POST", "/runs")
+            conn.putheader("Content-Length", length)
+            conn.endheaders(body or None)
+            response = conn.getresponse()
+            return response.status, json.loads(response.read())
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize("length", ["abc", "-5", "1.5", "+3", ""])
+    def test_malformed_or_negative_length_is_400(self, server, length):
+        status, body = self.post_declared(server, length)
+        if length == "":
+            # an empty header reads as no body: the app's own 400
+            assert status == 400 and "empty" in body["error"]
+            return
+        assert status == 400
+        assert body["error"] == "malformed Content-Length"
+
+    def test_oversized_body_is_413_without_reading_it(self, server):
+        from repro.service.server import MAX_BODY_BYTES
+
+        assert MAX_BODY_BYTES == 1 << 20
+        # nothing of the declared body is sent: an answer proves the
+        # server did not wait for it
+        status, body = self.post_declared(server, str(MAX_BODY_BYTES + 1))
+        assert status == 413
+        assert str(MAX_BODY_BYTES) in body["error"]
+        status, _ = http_json(server.host, server.port, "GET", "/health")
+        assert status == 200
+
+    def test_body_at_the_bound_is_read(self, server):
+        from repro.service.server import MAX_BODY_BYTES
+
+        blob = b" " * (MAX_BODY_BYTES - 2) + b"{}"
+        status, body = self.post_declared(server, str(len(blob)), blob)
+        # read and parsed: the app itself rejects the empty payload
+        assert status == 400
+        assert body["error"] == "Scenario needs a family or a payload"
+
+
 class TestPooledBacklog:
     def test_more_runs_than_workers_all_complete(self, tmp_path):
         # One worker, three runs: 2 and 3 sit in the pool queue until
